@@ -28,7 +28,9 @@
 //! request's identity; the reply kind seen by each PE is always the kind
 //! its own request demands.
 
-use crate::message::{Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
+use std::collections::HashSet;
+
+use crate::message::{FoldedIds, Message, MsgId, MsgKind, PhiOp, Reply, ReplyKind};
 use ultra_sim::wire::{Wire, WireError, WireReader, WireWriter};
 use ultra_sim::{Cycle, MemAddr, PeId, Value};
 
@@ -158,6 +160,21 @@ pub fn kinds_combinable(a: MsgKind, b: MsgKind) -> bool {
     }
 }
 
+/// Whether two folded lists name a common logical request.
+///
+/// A hot spot's combining tree doubles the lists at every stage (the
+/// survivor of stage `s` folds `2^(s+1)` requests), so a pairwise scan
+/// would cost `4^s` per combine; past a few entries the shorter list goes
+/// into a hash set instead.
+fn share_constituent(a: &FoldedIds, b: &FoldedIds) -> bool {
+    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
+    if short.len() <= 8 {
+        return short.iter().any(|id| long.contains(id));
+    }
+    let seen: HashSet<MsgId> = short.iter().copied().collect();
+    long.iter().any(|id| seen.contains(id))
+}
+
 /// Attempts to combine `incoming` into the queued request `queued`.
 ///
 /// On success the queued slot is mutated into the request that continues
@@ -182,7 +199,7 @@ pub fn try_combine(queued: &mut Message, incoming: &Message) -> Option<WaitEntry
     // already share a folded constituent.
     if queued.attempt > 0
         || incoming.attempt > 0
-        || queued.folded.iter().any(|id| incoming.folded.contains(id))
+        || share_constituent(&queued.folded, &incoming.folded)
     {
         return None;
     }

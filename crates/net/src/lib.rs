@@ -16,11 +16,13 @@
 //!   origin/destination *amalgam* address of §3.1.1.
 //! * [`queue`] — the ToMM/ToPE output queues (systolic-queue semantics:
 //!   FIFO order plus associative search, §3.3.1) with packet-granularity
-//!   capacity and link timing.
+//!   capacity and link timing: fixed-size per-port metadata over a slab of
+//!   in-flight slots.
 //! * [`combine`] — the pairwise combining rules (Load/Store/Fetch-and-phi,
 //!   homogeneous and heterogeneous) and the reply rules used to decombine.
-//! * [`switch`] — a k×k bidirectional switch: k ToMM queues, k ToPE queues
-//!   and a wait buffer.
+//! * [`switch`] — the k×k bidirectional switches (k ToMM queues, k ToPE
+//!   queues and a wait buffer each), stored as per-stage arenas with one
+//!   wait table per network.
 //! * [`omega`] — the assembled network (plus [`omega::ReplicatedOmega`] for
 //!   the `d`-copy configurations of §4.1) with per-cycle advancement,
 //!   backpressure, and egress events.
