@@ -2,7 +2,7 @@
 //!
 //! Measures simulated-cycles/sec and PE·cycles/sec for the sequential and
 //! parallel engines at N ∈ {64, 256, 1024, 4096, 16384, 65536} on two
-//! workloads, and writes the rows to `BENCH_engine.json` at the repo root:
+//! workloads and prints one row per measurement:
 //!
 //! * `ticket` — every PE hammers one combinable hot word (traffic scales
 //!   with N; measures the whole engine under load). The 65536 row runs in
@@ -17,7 +17,11 @@
 //! Flags (combine freely):
 //!
 //! * `--quick` — CI-sized iteration counts (~10× shorter runs).
-//! * `--check` — instead of (over)writing the baseline: assert the
+//! * `--write-baseline` — write the rows to the committed
+//!   `BENCH_engine.json` at the root of the checkout this binary was built
+//!   from. No other flag writes that file; a filtered (`--workload`) matrix
+//!   is refused.
+//! * `--check` — assert the
 //!   parallel engine is bit-identical to the sequential one on the E8 and
 //!   E14 harness configurations, assert every measured N produced the
 //!   same cycle count under both engines, fail if any row regressed more
@@ -394,6 +398,7 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let quick = args.iter().any(|a| a == "--quick");
     let check = args.iter().any(|a| a == "--check");
+    let write_baseline = args.iter().any(|a| a == "--write-baseline");
     let flag_path = |name: &str| {
         args.iter().position(|a| a == name).map(|i| {
             PathBuf::from(
@@ -541,13 +546,16 @@ fn main() {
             std::process::exit(1);
         }
         println!("engine check passed: parity holds, no >35% cycles/sec regression");
-    } else if workload_filter.is_some() {
-        // A filtered matrix is not a full baseline; refuse to clobber the
-        // committed rows with a partial set.
-        println!("--workload filter active — not rewriting the committed baseline");
-    } else {
-        let path = baseline_path();
-        std::fs::write(&path, render_json(&rows)).expect("write BENCH_engine.json");
-        println!("wrote {}", path.display());
+    }
+    if write_baseline {
+        if workload_filter.is_some() {
+            // A filtered matrix is not a full baseline; refuse to clobber
+            // the committed rows with a partial set.
+            println!("--workload filter active — not rewriting the committed baseline");
+        } else {
+            let path = baseline_path();
+            std::fs::write(&path, render_json(&rows)).expect("write BENCH_engine.json");
+            println!("wrote {}", path.display());
+        }
     }
 }

@@ -33,6 +33,7 @@
 
 pub mod cache;
 pub mod json;
+pub mod line;
 pub mod obs;
 pub mod queue;
 pub mod spec;

@@ -29,7 +29,7 @@
 //! `--trace-out` writes per-job lifecycle spans as Chrome `trace_event`
 //! JSON (loadable in Perfetto).
 
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -39,6 +39,7 @@ use std::time::Instant;
 
 use ultra_obs::flight::FlightLevel;
 use ultra_serve::json::{parse_object, Json};
+use ultra_serve::line::{read_line_capped, MAX_LINE_BYTES};
 use ultra_serve::obs::{JobPhase, ObsOptions, ServeObs};
 use ultra_serve::queue::JobQueue;
 use ultra_serve::spec::JobSpec;
@@ -237,17 +238,23 @@ fn classify_observed(
         Ok(_) => {}
         Err(error) => {
             obs.observe_phase("invalid", JobPhase::Parse, 0, parse_us);
-            obs.protocol_error();
-            obs.log(
-                FlightLevel::Error,
-                "",
-                "protocol",
-                &format!("line {lineno} rejected: {error}"),
-            );
-            obs.dump_flight_to_stderr(&format!("protocol error on line {lineno}"));
+            record_rejection(obs, lineno, error);
         }
     }
     classified
+}
+
+/// Accounts one rejected protocol line: the protocol-error counter, an
+/// error flight event, and a dump of the flight ring to stderr.
+fn record_rejection(obs: &ServeObs, lineno: usize, error: &str) {
+    obs.protocol_error();
+    obs.log(
+        FlightLevel::Error,
+        "",
+        "protocol",
+        &format!("line {lineno} rejected: {error}"),
+    );
+    obs.dump_flight_to_stderr(&format!("protocol error on line {lineno}"));
 }
 
 fn run_batch_mode(server: &Server, path: &str, opts: &Options) -> ExitCode {
@@ -407,6 +414,10 @@ fn run_listen_mode(server: &Server, addr: &str, opts: &Options) -> ExitCode {
                 break;
             }
             let Ok(stream) = stream else { continue };
+            // Result lines are small and latency-bound: without this,
+            // Nagle's algorithm holds each one back waiting for the
+            // client's delayed ACK.
+            let _ = stream.set_nodelay(true);
             let queue = Arc::clone(&queue);
             let shutdown = Arc::clone(&shutdown);
             scope.spawn(move || handle_connection(stream, server, &queue, &shutdown, local));
@@ -436,17 +447,36 @@ fn handle_connection(
     let writer = thread::spawn(move || {
         let mut out = write_half;
         for outcome in rx {
-            if writeln!(out, "{}", outcome.line).is_err() {
+            // One write per line: the line and its newline leave in the
+            // same segment.
+            let mut bytes = outcome.line.into_bytes();
+            bytes.push(b'\n');
+            if out.write_all(&bytes).is_err() {
                 break;
             }
         }
     });
 
+    let mut reader = BufReader::new(stream);
+    let mut buf = Vec::new();
     let mut lineno = 0;
-    for line in BufReader::new(stream).lines() {
-        let Ok(line) = line else { break };
+    while let Ok(Some(line)) = read_line_capped(&mut reader, MAX_LINE_BYTES, &mut buf) {
         lineno += 1;
-        match classify_observed(server, obs, &line, lineno) {
+        let line = match line {
+            Ok(line) => line,
+            Err(error) => {
+                let error = error_line(&format!("job-{lineno}"), &error.to_string());
+                record_rejection(obs, lineno, &error);
+                let _ = tx.send(JobOutcome {
+                    id: String::new(),
+                    status: JobStatus::Error,
+                    line: error,
+                    log: Vec::new(),
+                });
+                continue;
+            }
+        };
+        match classify_observed(server, obs, line, lineno) {
             Ok(Classified::Job(spec)) => {
                 let priority = spec.priority;
                 let submission = Submission {
